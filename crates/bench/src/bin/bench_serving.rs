@@ -116,10 +116,10 @@ fn run_cell(
     let seeds = Seeds::default();
     let resolved = pubsub_parallel::effective_threads(executors);
 
-    // Few shards, 2 ms flush ceiling: the single replay thread is the
-    // only producer (no shard contention to spread), and the adaptive
-    // deadline shrinks toward its sub-millisecond floor whenever the
-    // ingest queue is shallow — the ceiling only binds under backlog.
+    // Few shards: the single replay thread is the only producer (no
+    // shard contention to spread). Idle executors sweep the shards, so
+    // batches grow only under backlog; the 2 ms interval only scales
+    // the shed retry hint.
     let config = ServingConfig {
         ingest_capacity: 256,
         egress_capacity: 256,

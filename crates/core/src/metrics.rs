@@ -292,14 +292,14 @@ pub struct PipelineCounters {
     /// split histograms below, kept for cross-PR comparability.
     #[serde(default)]
     pub stage_ingest: LatencyHisto,
-    /// Ingest split, per event: submission → shard-batcher flush — how
-    /// long the event waited for the size-or-deadline trigger. This is
-    /// the number adaptive batching shrinks when the queue is shallow.
+    /// Ingest split, per event: submission → the batch leaving the shard
+    /// batchers (size-trigger flush, or an idle executor's sweep) — how
+    /// long the event waited for a batch to close around it.
     #[serde(default)]
     pub stage_batcher: LatencyHisto,
     /// Ingest split, per event: batcher flush → dequeue by a pipeline
-    /// executor — time spent in the bounded ingest queue. This is the
-    /// backlog signal adaptive batching grows the deadline under.
+    /// executor — time spent in the bounded ingest queue (zero for a
+    /// swept batch, which never enters the queue).
     #[serde(default)]
     pub stage_queue_wait: LatencyHisto,
     /// Per-batch pipeline-stage latency (the fused match → cost → decide

@@ -30,8 +30,9 @@ pub enum StageKind {
     /// [`StageKind::Batcher`] and [`StageKind::QueueWait`], kept whole
     /// for cross-version comparability.
     Ingest,
-    /// Transport-in split: submission → shard-batcher flush (per-event
-    /// residency under the size-or-deadline trigger).
+    /// Transport-in split: submission → the batch leaving the shard
+    /// batchers (per-event residency until a size-trigger flush or an
+    /// idle executor's sweep).
     Batcher,
     /// Transport-in split: batcher flush → dequeue by a pipeline
     /// executor (per-event wait in the bounded ingest queue).

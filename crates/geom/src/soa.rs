@@ -84,6 +84,14 @@ impl EventSoA {
         self.len += 1;
     }
 
+    /// Reserves room for at least `additional` more events in every
+    /// column.
+    pub fn reserve(&mut self, additional: usize) {
+        for col in &mut self.cols {
+            col.reserve(additional);
+        }
+    }
+
     /// Clears all columns, keeping their allocations for reuse.
     pub fn clear(&mut self) {
         for col in &mut self.cols {

@@ -57,6 +57,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
+use std::time::Duration;
 
 /// Fixed block size of the block-cyclic assignment. Small enough to
 /// balance load across workers on realistic batches, large enough that a
@@ -613,6 +614,17 @@ impl<T> PushError<T> {
     }
 }
 
+/// What a [`StageQueue::pop_timeout`] came back with.
+#[derive(Debug, PartialEq, Eq)]
+pub enum TimedPop<T> {
+    /// The oldest queued item.
+    Item(T),
+    /// Nothing arrived within the timeout; the queue is still open.
+    TimedOut,
+    /// The queue is closed and drained.
+    Closed,
+}
+
 struct StageQueueState<T> {
     items: std::collections::VecDeque<T>,
     closed: bool,
@@ -760,6 +772,27 @@ impl<T> StageQueue<T> {
                 return None;
             }
             st = cv_wait(&self.shared.not_empty, st);
+        }
+    }
+
+    /// Dequeues the oldest item, blocking at most `timeout` for one to
+    /// arrive — the park of a consumer that has other work to poll
+    /// between waits.
+    pub fn pop_timeout(&self, timeout: Duration) -> TimedPop<T> {
+        let st = lock(&self.shared.state);
+        let (mut st, _) = self
+            .shared
+            .not_empty
+            .wait_timeout_while(st, timeout, |st| st.items.is_empty() && !st.closed)
+            .unwrap_or_else(|e| e.into_inner());
+        match st.items.pop_front() {
+            Some(item) => {
+                drop(st);
+                self.shared.not_full.notify_one();
+                TimedPop::Item(item)
+            }
+            None if st.closed => TimedPop::Closed,
+            None => TimedPop::TimedOut,
         }
     }
 
@@ -1479,6 +1512,25 @@ mod tests {
         std::thread::sleep(std::time::Duration::from_millis(10));
         q.close();
         assert_eq!(consumer.join().expect("consumer thread"), (Some(7), None));
+    }
+
+    #[test]
+    fn stage_queue_timed_pop_times_out_wakes_and_ends() {
+        let q: StageQueue<u64> = StageQueue::new(4);
+        let t0 = std::time::Instant::now();
+        assert_eq!(q.pop_timeout(Duration::from_millis(5)), TimedPop::TimedOut);
+        assert!(t0.elapsed() >= Duration::from_millis(5));
+        // A push wakes a parked consumer long before its timeout.
+        let q2 = q.clone();
+        let consumer = std::thread::spawn(move || q2.pop_timeout(Duration::from_secs(60)));
+        std::thread::sleep(Duration::from_millis(10));
+        q.push(7).unwrap();
+        assert_eq!(consumer.join().expect("consumer thread"), TimedPop::Item(7));
+        // Close drains what is queued before reporting closed.
+        q.push(8).unwrap();
+        q.close();
+        assert_eq!(q.pop_timeout(Duration::ZERO), TimedPop::Item(8));
+        assert_eq!(q.pop_timeout(Duration::from_secs(60)), TimedPop::Closed);
     }
 
     #[test]

@@ -1,14 +1,10 @@
-//! Size-or-deadline batching for the transport-in stage.
+//! Shard batching for the transport-in stage.
 //!
-//! Each connection shard owns one [`EventBatcher`]: submissions
-//! accumulate until either the batch is full (size trigger, checked at
-//! submit) or the oldest buffered item has waited longer than the flush
-//! deadline (checked by the server's flusher tick). This is the classic
-//! serving tradeoff — batching amortizes per-batch pipeline cost, the
-//! deadline bounds the latency a sparse client pays for it. The server
-//! *adapts* the deadline to ingest-queue fill (see the crate docs): an
-//! idle queue flushes near the floor for latency, a backlogged one rides
-//! up to the configured interval so batches grow instead of the queue.
+//! Each connection shard owns one [`EventBatcher`]. Submissions
+//! accumulate until the batch is full (the size trigger, checked at
+//! submit) or an idle pipeline executor sweeps the shard (see the crate
+//! docs): batches grow only while every executor is busy, so an idle
+//! server never holds an event back to fill a batch.
 //!
 //! The event batcher assembles the SIMD-friendly structure-of-arrays
 //! layout **at ingest**: every push appends the event's coordinates to
@@ -16,93 +12,10 @@
 //! owned [`Point`]s, so the pipeline's match kernels fill their lane
 //! blocks with contiguous column copies instead of transposing
 //! point-at-a-time on the hot path.
-//!
-//! [`Batcher`] is the generic size-or-deadline core, kept item-agnostic
-//! so the trigger logic stays unit-testable without the serving stack.
 
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use pubsub_geom::{EventSoA, Point};
-
-/// A bounded buffer that reports when it should flush. Generic over the
-/// item so the size-or-deadline logic is unit-testable without dragging
-/// the whole serving stack in.
-#[derive(Debug)]
-pub struct Batcher<T> {
-    items: Vec<T>,
-    /// Arrival instant of the oldest buffered item (deadline basis).
-    oldest: Option<Instant>,
-    max: usize,
-}
-
-impl<T> Batcher<T> {
-    /// A batcher flushing at `max` items (minimum 1).
-    pub fn new(max: usize) -> Self {
-        Batcher {
-            items: Vec::new(),
-            oldest: None,
-            max: max.max(1),
-        }
-    }
-
-    /// Items currently buffered.
-    pub fn len(&self) -> usize {
-        self.items.len()
-    }
-
-    /// Whether nothing is buffered.
-    pub fn is_empty(&self) -> bool {
-        self.items.is_empty()
-    }
-
-    /// Whether the buffer is at the size trigger — the caller must flush
-    /// (or reject the submission) before pushing more.
-    pub fn is_full(&self) -> bool {
-        self.items.len() >= self.max
-    }
-
-    /// Buffers one item that arrived at `now`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the batcher [`Batcher::is_full`] — the caller owns the
-    /// flush-or-reject decision and must make it first.
-    pub fn push(&mut self, item: T, now: Instant) {
-        assert!(!self.is_full(), "push into a full batcher");
-        if self.items.is_empty() {
-            self.oldest = Some(now);
-        }
-        self.items.push(item);
-    }
-
-    /// Whether the deadline trigger has fired: something is buffered and
-    /// the oldest item has waited at least `interval`.
-    pub fn due(&self, now: Instant, interval: Duration) -> bool {
-        match self.oldest {
-            Some(oldest) => now.saturating_duration_since(oldest) >= interval,
-            None => false,
-        }
-    }
-
-    /// Takes the buffered batch, leaving the batcher empty. The backing
-    /// allocation moves out with the batch (the pipeline consumes it),
-    /// so a fresh buffer starts small and regrows only under load.
-    pub fn take(&mut self) -> Vec<T> {
-        self.oldest = None;
-        std::mem::take(&mut self.items)
-    }
-
-    /// Puts a just-taken batch back (a flush whose queue push was
-    /// rejected); `oldest` restarts at `now`, which only ever *delays*
-    /// the deadline — acceptable, the queue was full anyway.
-    pub fn restore(&mut self, items: Vec<T>, now: Instant) {
-        debug_assert!(self.items.is_empty(), "restore over buffered items");
-        if !items.is_empty() {
-            self.oldest = Some(now);
-        }
-        self.items = items;
-    }
-}
 
 /// Per-event submission bookkeeping carried alongside the payload from
 /// ingest to egress: who sent it and when, so the egress record can
@@ -119,9 +32,9 @@ pub struct SubmitMeta {
     pub submitted: Instant,
 }
 
-/// One flushed shard batch in flight through the pipeline: submission
-/// metadata, the owned events, and their structure-of-arrays mirror
-/// (same coordinates, dimension-major columns) built at ingest.
+/// One batch in flight through the pipeline: submission metadata, the
+/// owned events, and their structure-of-arrays mirror (same
+/// coordinates, dimension-major columns) built at ingest.
 #[derive(Debug)]
 pub struct EventBatch {
     /// Per-event submission bookkeeping, in submission order.
@@ -130,13 +43,23 @@ pub struct EventBatch {
     pub points: Vec<Point>,
     /// Dimension-major columns mirroring `points`.
     pub soa: EventSoA,
-    /// When the batch was flushed into the ingest queue (queue-wait
-    /// latency basis). Meaningless until [`EventBatcher::take`] stamps
-    /// it.
+    /// When the batch left the shard batchers — flushed into the ingest
+    /// queue, or swept by an executor (queue-wait latency basis).
     pub enqueued: Instant,
 }
 
 impl EventBatch {
+    /// An empty batch over `dims` dimensions, stamped as enqueued at
+    /// `now`.
+    pub fn new(dims: usize, now: Instant) -> Self {
+        EventBatch {
+            meta: Vec::new(),
+            points: Vec::new(),
+            soa: EventSoA::new(dims),
+            enqueued: now,
+        }
+    }
+
     /// Events in the batch.
     pub fn len(&self) -> usize {
         self.meta.len()
@@ -148,16 +71,13 @@ impl EventBatch {
     }
 }
 
-/// The shard batcher of the staged server: [`Batcher`]'s size-or-deadline
-/// contract, specialized to events so every push extends the SoA columns
-/// in place.
+/// The shard batcher of the staged server: a bounded event buffer that
+/// extends the SoA columns in place on every push.
 #[derive(Debug)]
 pub struct EventBatcher {
     meta: Vec<SubmitMeta>,
     points: Vec<Point>,
     soa: EventSoA,
-    /// Arrival instant of the oldest buffered event (deadline basis).
-    oldest: Option<Instant>,
     max: usize,
     dims: usize,
 }
@@ -170,7 +90,6 @@ impl EventBatcher {
             meta: Vec::new(),
             points: Vec::new(),
             soa: EventSoA::new(dims),
-            oldest: None,
             max: max.max(1),
             dims,
         }
@@ -192,55 +111,52 @@ impl EventBatcher {
         self.meta.len() >= self.max
     }
 
-    /// Buffers one event that arrived at `now`, extending the SoA
-    /// columns with its coordinates.
+    /// Buffers one event, extending the SoA columns with its
+    /// coordinates.
     ///
     /// # Panics
     ///
     /// Panics if the batcher [`EventBatcher::is_full`] (the caller owns
     /// the flush-or-reject decision) or the event's dimensionality does
     /// not match the batcher's (the server validates at submit).
-    pub fn push(&mut self, meta: SubmitMeta, event: Point, now: Instant) {
+    pub fn push(&mut self, meta: SubmitMeta, event: Point) {
         assert!(!self.is_full(), "push into a full batcher");
-        if self.meta.is_empty() {
-            self.oldest = Some(now);
-        }
         self.soa.push(&event);
         self.points.push(event);
         self.meta.push(meta);
     }
 
-    /// Whether the deadline trigger has fired: something is buffered and
-    /// the oldest event has waited at least `interval`.
-    pub fn due(&self, now: Instant, interval: Duration) -> bool {
-        match self.oldest {
-            Some(oldest) => now.saturating_duration_since(oldest) >= interval,
-            None => false,
-        }
-    }
-
-    /// Takes the buffered batch, stamped as enqueued at `now`, leaving
-    /// the batcher empty. The backing allocations move out with the
-    /// batch (the pipeline consumes them), so a fresh buffer starts
-    /// small and regrows only under load.
+    /// Takes the buffered batch, stamped as enqueued at `now`. The
+    /// backing allocations move out with the batch (the pipeline
+    /// consumes them) and pre-sized empty buffers stay behind, so the
+    /// submits that refill the shard push without allocating.
     pub fn take(&mut self, now: Instant) -> EventBatch {
-        self.oldest = None;
+        let cap = self.max.min(self.len().max(4));
+        let mut soa = EventSoA::new(self.dims);
+        soa.reserve(cap);
         EventBatch {
-            meta: std::mem::take(&mut self.meta),
-            points: std::mem::take(&mut self.points),
-            soa: std::mem::replace(&mut self.soa, EventSoA::new(self.dims)),
+            meta: std::mem::replace(&mut self.meta, Vec::with_capacity(cap)),
+            points: std::mem::replace(&mut self.points, Vec::with_capacity(cap)),
+            soa: std::mem::replace(&mut self.soa, soa),
             enqueued: now,
         }
     }
 
-    /// Puts a just-taken batch back (a flush whose queue push was
-    /// rejected); `oldest` restarts at `now`, which only ever *delays*
-    /// the deadline — acceptable, the queue was full anyway.
-    pub fn restore(&mut self, batch: EventBatch, now: Instant) {
-        debug_assert!(self.meta.is_empty(), "restore over buffered events");
-        if !batch.is_empty() {
-            self.oldest = Some(now);
+    /// Moves the buffered events onto the end of `out`, keeping this
+    /// batcher's buffers (and their capacity) for the next submits.
+    pub fn drain_into(&mut self, out: &mut EventBatch) {
+        for point in &self.points {
+            out.soa.push(point);
         }
+        self.soa.clear();
+        out.points.append(&mut self.points);
+        out.meta.append(&mut self.meta);
+    }
+
+    /// Puts a just-taken batch back (a flush whose queue push was
+    /// rejected).
+    pub fn restore(&mut self, batch: EventBatch) {
+        debug_assert!(self.meta.is_empty(), "restore over buffered events");
         self.meta = batch.meta;
         self.points = batch.points;
         self.soa = batch.soa;
@@ -250,59 +166,6 @@ impl EventBatcher {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn size_trigger_fires_at_max() {
-        let mut b = Batcher::new(3);
-        let now = Instant::now();
-        assert!(b.is_empty());
-        b.push(1, now);
-        b.push(2, now);
-        assert!(!b.is_full());
-        b.push(3, now);
-        assert!(b.is_full());
-        assert_eq!(b.take(), vec![1, 2, 3]);
-        assert!(b.is_empty() && !b.is_full());
-    }
-
-    #[test]
-    #[should_panic(expected = "push into a full batcher")]
-    fn push_into_full_panics() {
-        let mut b = Batcher::new(1);
-        let now = Instant::now();
-        b.push(1, now);
-        b.push(2, now);
-    }
-
-    #[test]
-    fn deadline_trigger_tracks_oldest() {
-        let mut b = Batcher::new(10);
-        let t0 = Instant::now();
-        let interval = Duration::from_millis(5);
-        assert!(!b.due(t0, interval), "empty batcher is never due");
-        b.push('a', t0);
-        assert!(!b.due(t0, interval));
-        assert!(b.due(t0 + Duration::from_millis(5), interval));
-        // A later push does not reset the deadline basis.
-        b.push('b', t0 + Duration::from_millis(4));
-        assert!(b.due(t0 + Duration::from_millis(5), interval));
-        b.take();
-        assert!(!b.due(t0 + Duration::from_secs(1), interval));
-    }
-
-    #[test]
-    fn restore_rearms_deadline() {
-        let mut b = Batcher::new(10);
-        let t0 = Instant::now();
-        b.push(7u32, t0);
-        let batch = b.take();
-        let t1 = t0 + Duration::from_millis(3);
-        b.restore(batch, t1);
-        assert_eq!(b.len(), 1);
-        let interval = Duration::from_millis(5);
-        assert!(!b.due(t1 + Duration::from_millis(4), interval));
-        assert!(b.due(t1 + Duration::from_millis(5), interval));
-    }
 
     fn meta(seq: u64) -> SubmitMeta {
         let now = Instant::now();
@@ -314,15 +177,72 @@ mod tests {
         }
     }
 
+    fn point(i: u64) -> Point {
+        Point::new(vec![i as f64, 10.0 - i as f64]).expect("point")
+    }
+
+    fn seqs(batch: &EventBatch) -> Vec<u64> {
+        batch.meta.iter().map(|m| m.seq).collect()
+    }
+
+    #[test]
+    fn size_trigger_fires_at_max() {
+        let mut b = EventBatcher::new(3, 2);
+        assert!(b.is_empty());
+        b.push(meta(1), point(1));
+        b.push(meta(2), point(2));
+        assert!(!b.is_full());
+        b.push(meta(3), point(3));
+        assert!(b.is_full());
+        assert_eq!(seqs(&b.take(Instant::now())), vec![1, 2, 3]);
+        assert!(b.is_empty() && !b.is_full());
+    }
+
+    #[test]
+    #[should_panic(expected = "push into a full batcher")]
+    fn push_into_full_panics() {
+        let mut b = EventBatcher::new(1, 2);
+        b.push(meta(1), point(1));
+        b.push(meta(2), point(2));
+    }
+
+    #[test]
+    fn take_works_at_every_small_max() {
+        for max in 1..=5 {
+            let mut b = EventBatcher::new(max, 2);
+            for round in 0..3u64 {
+                for i in 0..max as u64 {
+                    b.push(meta(round * 10 + i), point(i));
+                }
+                assert!(b.is_full());
+                let batch = b.take(Instant::now());
+                assert_eq!(batch.len(), max, "max_batch = {max}");
+                assert_eq!(batch.soa.len(), max);
+                assert!(b.is_empty());
+            }
+        }
+    }
+
+    #[test]
+    fn restore_puts_the_batch_back_in_order() {
+        let mut b = EventBatcher::new(10, 2);
+        b.push(meta(7), point(7));
+        let batch = b.take(Instant::now());
+        b.restore(batch);
+        assert_eq!(b.len(), 1);
+        b.push(meta(8), point(8));
+        let again = b.take(Instant::now());
+        assert_eq!(seqs(&again), vec![7, 8]);
+        assert_eq!(again.soa.col(0), &[7.0, 8.0]);
+    }
+
     #[test]
     fn event_batcher_mirrors_points_into_columns() {
         let mut b = EventBatcher::new(8, 2);
-        let now = Instant::now();
         for i in 0..5u64 {
-            let p = Point::new(vec![i as f64, 10.0 - i as f64]).expect("point");
-            b.push(meta(i), p, now);
+            b.push(meta(i), point(i));
         }
-        let batch = b.take(now);
+        let batch = b.take(Instant::now());
         assert!(b.is_empty(), "take drained the batcher");
         assert_eq!(batch.len(), 5);
         assert_eq!(batch.soa.len(), 5);
@@ -332,12 +252,26 @@ mod tests {
                 assert_eq!(batch.soa.col(d)[i].to_bits(), p.coord(d).to_bits());
             }
         }
-        // Restore round-trips the columns, and the next take flushes
-        // everything including post-restore pushes.
-        b.restore(batch, now);
-        b.push(meta(5), Point::new(vec![5.0, 5.0]).expect("point"), now);
-        let again = b.take(now);
-        assert_eq!(again.len(), 6);
-        assert_eq!(again.soa.col(0), &[0.0, 1.0, 2.0, 3.0, 4.0, 5.0]);
+    }
+
+    #[test]
+    fn drain_into_appends_shards_contiguously() {
+        let (mut a, mut b) = (EventBatcher::new(8, 2), EventBatcher::new(8, 2));
+        for i in 0..3u64 {
+            a.push(meta(i), point(i));
+        }
+        for i in 10..12u64 {
+            b.push(meta(i), point(i));
+        }
+        let mut out = EventBatch::new(2, Instant::now());
+        a.drain_into(&mut out);
+        b.drain_into(&mut out);
+        assert!(a.is_empty() && b.is_empty());
+        assert_eq!(seqs(&out), vec![0, 1, 2, 10, 11]);
+        assert_eq!(out.soa.len(), 5);
+        assert_eq!(out.soa.col(0), &[0.0, 1.0, 2.0, 10.0, 11.0]);
+        // The drained batcher keeps buffering normally.
+        a.push(meta(3), point(3));
+        assert_eq!(seqs(&a.take(Instant::now())), vec![3]);
     }
 }

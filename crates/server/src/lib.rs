@@ -8,18 +8,20 @@
 //!
 //! * **transport-in** ([`IngestHandle`]) — submissions land in
 //!   per-connection-shard [`batcher`]s that assemble the SIMD-friendly
-//!   structure-of-arrays event layout at ingest and flush on
-//!   size-or-*adaptive*-deadline (sub-millisecond floor while the
-//!   ingest queue is shallow, growing toward the configured interval
-//!   under backlog); admission control is the bounded ingest queue: a
-//!   full queue is an *explicit, synchronous reject* (the accept/reject
-//!   ack of the wire protocol), never a silent drop and never a blocked
-//!   transport thread;
+//!   structure-of-arrays event layout at ingest and flush into the
+//!   ingest queue when full; admission control is the bounded ingest
+//!   queue: a full queue is an *explicit, synchronous reject* (the
+//!   accept/reject ack of the wire protocol), never a silent drop and
+//!   never a blocked transport thread;
 //! * **pipeline** — N concurrent executors drain the ingest queue
 //!   through a single dispatcher lock that assigns each work item a
-//!   monotone ticket, and run the read-only fused match → cost → decide
-//!   pass against an epoch-stamped [`pubsub_core::PublishView`] of the
-//!   engine; a [`pubsub_parallel::SequenceWindow`] re-orders their
+//!   monotone ticket. Ingest is *work-conserving*: an executor that
+//!   finds the queue empty sweeps the shard batchers into one batch
+//!   itself, or parks on the queue for a few microseconds and looks
+//!   again, so batches grow only while every executor is busy and no
+//!   timer holds a lone event back. Executors run the read-only fused
+//!   match → cost → decide pass against an epoch-stamped
+//!   [`pubsub_core::PublishView`] of the engine; a [`pubsub_parallel::SequenceWindow`] re-orders their
 //!   results so the **fold thread** — the sole [`pubsub_core::Broker`]
 //!   owner — consumes them strictly in ticket order, keeping outcomes,
 //!   the scheme-cost memo and the cumulative cost report bit-identical

@@ -37,14 +37,15 @@
 //!   state, so batches are forwarded raw and the fold degrades to
 //!   per-event processing — bit-identical to a synchronous `publish`
 //!   loop while giving every event an attributable record.
-//! * **Batching adapts to load.** Shard flush deadlines shrink toward a
-//!   sub-millisecond floor while the ingest queue is shallow (latency
-//!   mode) and stretch toward the configured interval as it fills
-//!   (throughput mode) — see [`ServingConfig::flush_interval`].
+//! * **Ingest is work-conserving.** There is no flush timer: an executor
+//!   that finds the ingest queue empty sweeps the shard batchers itself
+//!   (see [`dispatch`]), so an idle server hands a lone event to an
+//!   executor within one short park, and batches grow past one event
+//!   only while every executor is busy.
 
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Mutex, MutexGuard};
+use std::sync::{mpsc, Arc, Mutex, MutexGuard, TryLockError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -54,12 +55,21 @@ use pubsub_core::{
 };
 use pubsub_geom::{Point, Rect};
 use pubsub_netsim::NodeId;
-use pubsub_parallel::{PushError, SequenceWindow, StageQueue, VersionedCell};
+use pubsub_parallel::{PushError, SequenceWindow, StageQueue, TimedPop, VersionedCell};
 
 use crate::batcher::{EventBatch, EventBatcher, SubmitMeta};
 
 pub(crate) fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
     mutex.lock().unwrap_or_else(|e| e.into_inner())
+}
+
+/// [`lock`] without blocking: `None` if another thread holds the lock.
+fn try_lock<T>(mutex: &Mutex<T>) -> Option<MutexGuard<'_, T>> {
+    match mutex.try_lock() {
+        Ok(guard) => Some(guard),
+        Err(TryLockError::Poisoned(e)) => Some(e.into_inner()),
+        Err(TryLockError::WouldBlock) => None,
+    }
 }
 
 pub(crate) fn nanos(d: Duration) -> u64 {
@@ -78,15 +88,14 @@ pub struct ServingConfig {
     /// which fills the ingest queue, which rejects — pressure propagates
     /// to the edge instead of growing unbounded memory.
     pub egress_capacity: usize,
-    /// Size trigger: a shard batch flushes when it reaches this many
-    /// events.
+    /// Size trigger: a shard batch flushes into the ingest queue when it
+    /// reaches this many events. Also caps the batch an idle executor
+    /// sweeps together from the shards. Below the trigger, events wait
+    /// only while every executor is busy.
     pub max_batch: usize,
-    /// Deadline ceiling: a non-empty shard flushes when its oldest event
-    /// has waited this long, so sparse clients are not held hostage by
-    /// the size trigger. The *effective* deadline adapts to ingest-queue
-    /// fill — an idle queue flushes at a floor of
-    /// `(flush_interval / 16).max(100µs)` for latency, a backlogged one
-    /// rides up to this ceiling so batches grow instead of the queue.
+    /// Time one queued batch represents when the shed tier scales its
+    /// retry hint (backlog depth × this interval). Nothing is flushed on
+    /// a timer: idle executors sweep the shards instead.
     pub flush_interval: Duration,
     /// Worker threads for the broker's own fused pass (`None` =
     /// available parallelism). Only exercised on the fold-side fault
@@ -360,7 +369,27 @@ pub(crate) struct IngestShared {
     /// syncs at metrics polls and shutdown never double-count).
     pub(crate) rejected_reported: AtomicU64,
     pub(crate) dims: usize,
+    pub(crate) max_batch: usize,
     pub(crate) flush_interval: Duration,
+}
+
+impl IngestShared {
+    pub(crate) fn new(config: &ServingConfig, dims: usize) -> Self {
+        let max_batch = config.max_batch.max(1);
+        IngestShared {
+            queue: StageQueue::new(config.ingest_capacity),
+            shards: (0..config.shards.max(1))
+                .map(|_| Mutex::new(EventBatcher::new(max_batch, dims)))
+                .collect(),
+            accepting: AtomicBool::new(true),
+            accepted: AtomicU64::new(0),
+            rejected: AtomicU64::new(0),
+            rejected_reported: AtomicU64::new(0),
+            dims,
+            max_batch,
+            flush_interval: config.flush_interval,
+        }
+    }
 }
 
 impl fmt::Debug for IngestShared {
@@ -475,7 +504,7 @@ impl IngestHandle {
                     PushError::Closed(item) => (RejectReason::Closed, item),
                 };
                 if let WorkItem::Batch(batch) = item {
-                    batcher.restore(batch, now);
+                    batcher.restore(batch);
                 }
                 sh.rejected.fetch_add(1, Ordering::Relaxed);
                 return Err(reason);
@@ -489,16 +518,18 @@ impl IngestHandle {
                 submitted: now,
             },
             event,
-            now,
         );
         sh.accepted.fetch_add(1, Ordering::Relaxed);
+        // Below the size trigger nothing is woken: an idle executor
+        // sweeps the shard within one park (waking one from here would
+        // cost more than the whole submit).
         if batcher.is_full() {
             // Opportunistic size-trigger flush; a full queue just leaves
-            // the batch for the next submit or the deadline flusher.
+            // the batch for the next submit or an executor sweep.
             let batch = batcher.take(now);
             if let Err(err) = sh.queue.try_push(WorkItem::Batch(batch)) {
                 if let WorkItem::Batch(batch) = err.into_inner() {
-                    batcher.restore(batch, now);
+                    batcher.restore(batch);
                 }
             }
         }
@@ -585,7 +616,9 @@ impl IngestHandle {
     /// Enqueues a control operation behind everything already accepted:
     /// flushes every shard (blocking — accepted events are never
     /// dropped), then pushes the op through the same ordered queue.
-    fn control(&self, op: ControlOp) -> Result<(), ServingError> {
+    /// Events an executor swept before the flush reached their shard
+    /// already hold earlier tickets.
+    pub(crate) fn control(&self, op: ControlOp) -> Result<(), ServingError> {
         let sh = &*self.shared;
         for shard in &sh.shards {
             let mut batcher = lock(shard);
@@ -594,7 +627,7 @@ impl IngestHandle {
                 if let Err(WorkItem::Batch(batch)) = sh.queue.push(WorkItem::Batch(batch)) {
                     // Queue closed mid-shutdown: put them back for the
                     // final flush and report closed.
-                    batcher.restore(batch, Instant::now());
+                    batcher.restore(batch);
                     return Err(ServingError::Closed);
                 }
             }
@@ -645,8 +678,6 @@ pub struct ServerStats {
 pub struct StagedServer {
     handle: IngestHandle,
     ctx: Arc<ExecShared>,
-    flusher_stop: Arc<AtomicBool>,
-    flusher: Option<JoinHandle<()>>,
     executors: Vec<JoinHandle<()>>,
     fold: Option<JoinHandle<Broker>>,
     egress: Option<JoinHandle<EgressTotals>>,
@@ -656,23 +687,10 @@ pub struct StagedServer {
 impl StagedServer {
     /// Starts the staged server around `broker`: spawns the pipeline
     /// executors (sharing an immutable [`PublishView`] of the broker),
-    /// the fold thread (which takes ownership of the broker), the egress
-    /// thread (which takes ownership of `sink`), and the deadline
-    /// flusher.
+    /// the fold thread (which takes ownership of the broker) and the
+    /// egress thread (which takes ownership of `sink`).
     pub fn start(mut broker: Broker, config: ServingConfig, sink: Box<dyn DeliverySink>) -> Self {
-        let dims = broker.space().dims();
-        let shared = Arc::new(IngestShared {
-            queue: StageQueue::new(config.ingest_capacity),
-            shards: (0..config.shards.max(1))
-                .map(|_| Mutex::new(EventBatcher::new(config.max_batch, dims)))
-                .collect(),
-            accepting: AtomicBool::new(true),
-            accepted: AtomicU64::new(0),
-            rejected: AtomicU64::new(0),
-            rejected_reported: AtomicU64::new(0),
-            dims,
-            flush_interval: config.flush_interval,
-        });
+        let shared = Arc::new(IngestShared::new(&config, broker.space().dims()));
         let executors = pubsub_parallel::effective_threads(config.executors);
         let ctx = Arc::new(ExecShared {
             ingest: Arc::clone(&shared),
@@ -686,16 +704,6 @@ impl StagedServer {
             faults_active: broker.faults_active(),
         });
         let egress_queue: StageQueue<EgressBatch> = StageQueue::new(config.egress_capacity);
-        let flusher_stop = Arc::new(AtomicBool::new(false));
-
-        let flusher = {
-            let shared = Arc::clone(&shared);
-            let stop = Arc::clone(&flusher_stop);
-            std::thread::Builder::new()
-                .name("pubsub-flusher".into())
-                .spawn(move || flusher_loop(&shared, &stop))
-                .expect("spawn flusher thread")
-        };
         let executor_handles = (0..executors)
             .map(|i| {
                 let ctx = Arc::clone(&ctx);
@@ -722,8 +730,6 @@ impl StagedServer {
         StagedServer {
             handle: IngestHandle { shared },
             ctx,
-            flusher_stop,
-            flusher: Some(flusher),
             executors: executor_handles,
             fold: Some(fold),
             egress: Some(egress),
@@ -763,10 +769,6 @@ impl StagedServer {
             }
         }
         sh.queue.close();
-        self.flusher_stop.store(true, Ordering::SeqCst);
-        if let Some(flusher) = self.flusher.take() {
-            let _ = flusher.join();
-        }
         // Executors drain the closed queue and push their last tickets;
         // only then may the window close (it would otherwise drop the
         // gap behind a straggler).
@@ -825,52 +827,6 @@ pub(crate) fn shed_hint(shared: &IngestShared) -> u32 {
     (depth * per_batch_ms).clamp(1, 10_000) as u32
 }
 
-/// The adaptive-deadline floor: a shallow ingest queue flushes shards
-/// after this long, trading batch size for latency. Configs with long
-/// intervals (tests pin events with hour-scale ones) keep proportionally
-/// long floors, so "never flushes on its own" setups still hold.
-fn deadline_floor(interval: Duration) -> Duration {
-    (interval / 16)
-        .max(Duration::from_micros(100))
-        .min(interval)
-}
-
-/// The effective flush deadline right now: interpolates from the floor
-/// (idle queue — flush eagerly, the pipeline is starving) up to the
-/// configured ceiling as the ingest queue fills (backlog — let batches
-/// grow instead of adding queue entries).
-fn adaptive_deadline(shared: &IngestShared) -> Duration {
-    let ceiling = shared.flush_interval;
-    let floor = deadline_floor(ceiling);
-    let fill = shared.queue.depth() as f64 / shared.queue.capacity().max(1) as f64;
-    floor + (ceiling - floor).mul_f64(fill.clamp(0.0, 1.0))
-}
-
-pub(crate) fn flusher_loop(shared: &IngestShared, stop: &AtomicBool) {
-    // The tick tracks the *floor* so an idle queue actually gets its
-    // eager flushes, and is capped so shutdown never waits on a sleeping
-    // flusher: `stop` joins this thread, and an arbitrarily long flush
-    // interval must not translate into an arbitrarily long join.
-    let tick = (deadline_floor(shared.flush_interval) / 2)
-        .clamp(Duration::from_micros(50), Duration::from_millis(20));
-    while !stop.load(Ordering::SeqCst) {
-        std::thread::sleep(tick);
-        let deadline = adaptive_deadline(shared);
-        let now = Instant::now();
-        for shard in &shared.shards {
-            let mut batcher = lock(shard);
-            if batcher.due(now, deadline) {
-                let batch = batcher.take(now);
-                if let Err(err) = shared.queue.try_push(WorkItem::Batch(batch)) {
-                    if let WorkItem::Batch(batch) = err.into_inner() {
-                        batcher.restore(batch, now);
-                    }
-                }
-            }
-        }
-    }
-}
-
 /// What an executor popped, after the dispatcher stamped it.
 pub(crate) enum Popped {
     /// A batch plus the view version it must process under.
@@ -878,70 +834,136 @@ pub(crate) enum Popped {
     Control(ControlOp),
 }
 
-/// One concurrent pipeline executor: pop under the dispatcher lock (one
-/// ticket per item, version-stamped), run the read-only fused pass
-/// against the view at exactly the stamped version, and push the result
-/// into the sequence window at the ticket. Everything order-sensitive
-/// (broker mutation, version publication, egress handoff) happens on the
-/// fold side, in ticket order.
+/// How long an idle executor parks on the empty ingest queue before it
+/// sweeps the shard batchers again. A push into the queue (size
+/// trigger, control op) wakes it at once; a lone event below the size
+/// trigger waits at most one park. Linux's default 50 µs timer slack
+/// sets the real park length (about 60 µs), so the timeout only needs
+/// to be short, not tuned.
+const PARK: Duration = Duration::from_micros(10);
+
+/// The one dispatch step every executor (supervised or not) runs: pop
+/// the ingest queue; if it is empty, sweep the shard batchers into one
+/// batch; if there is nothing to sweep, park on the queue for [`PARK`]
+/// and repeat. The item gets the next ticket and, if it is a batch, the
+/// current view version; a view-bumping control op advances the
+/// version. Everything happens under the dispatcher lock, which makes
+/// tickets a total order consistent with the queue order — idle peers
+/// block on that lock instead of the queue, which costs nothing, they
+/// could not pop anyway. Returns `None` once the queue is closed and
+/// drained.
+pub(crate) fn dispatch(ctx: &ExecShared) -> Option<(u64, Popped)> {
+    let sh = &*ctx.ingest;
+    let mut st = lock(&ctx.dispatch);
+    let item = loop {
+        if let Some(item) = sh.queue.try_pop() {
+            break item;
+        }
+        if let Some(batch) = sweep(sh) {
+            break WorkItem::Batch(batch);
+        }
+        match sh.queue.pop_timeout(PARK) {
+            TimedPop::Item(item) => break item,
+            TimedPop::TimedOut => {}
+            TimedPop::Closed => return None,
+        }
+    };
+    let ticket = st.next_ticket;
+    st.next_ticket += 1;
+    let popped = match item {
+        WorkItem::Batch(batch) => Popped::Batch(batch, st.version),
+        WorkItem::Control(op) => {
+            if op.bumps_view() {
+                st.version += 1;
+            }
+            Popped::Control(op)
+        }
+    };
+    Some((ticket, popped))
+}
+
+/// Merges every buffered shard batch (shard order, each shard's events
+/// contiguous, at most `max_batch` events) into one batch, or `None` if
+/// there is nothing to take.
+///
+/// A shard is swept only while the ingest queue is empty, checked under
+/// that shard's lock: every push of a shard's batches happens under its
+/// lock, so an empty queue means no earlier batch of the shard can still
+/// be waiting for a ticket — per-client order holds. Shards are taken
+/// with `try_lock` and skipped when busy: the caller holds the
+/// dispatcher lock, and `control` can hold a shard lock while blocked on
+/// a full queue that only the dispatcher drains.
+fn sweep(sh: &IngestShared) -> Option<EventBatch> {
+    let mut swept: Option<EventBatch> = None;
+    for shard in &sh.shards {
+        let Some(mut batcher) = try_lock(shard) else {
+            continue;
+        };
+        let taken = swept.as_ref().map_or(0, EventBatch::len);
+        if batcher.is_empty() || (taken > 0 && taken + batcher.len() > sh.max_batch) {
+            continue;
+        }
+        if sh.queue.depth() > 0 {
+            break;
+        }
+        let out = swept.get_or_insert_with(|| EventBatch::new(sh.dims, Instant::now()));
+        batcher.drain_into(out);
+    }
+    swept
+}
+
+/// Runs the read-only fused pass over `batch` against the view at
+/// exactly `version`. `None` sends the batch to the fold raw: an active
+/// fault plan, or a view that refused the batch (unreachable in practice
+/// — submit validates dimensions — but losing records is not an option,
+/// so the fold produces the errors).
+pub(crate) fn run_pass(
+    ctx: &ExecShared,
+    batch: &EventBatch,
+    version: u64,
+) -> Option<(PublishScratch, u64)> {
+    if ctx.faults_active {
+        return None;
+    }
+    // The fold publishes version v only after folding every ticket
+    // before the op that bumped to v, and all such tickets precede
+    // ours — so the wait both terminates and can only ever observe our
+    // version.
+    let (seen, view) = ctx.cell.wait_at_least(version);
+    debug_assert_eq!(seen, version, "executor observed a future view");
+    let mut scratch = lock(&ctx.scratch_pool).pop().unwrap_or_default();
+    match view.process_into(&batch.points, Some(&batch.soa), &mut scratch) {
+        Ok(()) => Some((scratch, view.epoch())),
+        Err(_) => {
+            lock(&ctx.scratch_pool).push(scratch);
+            None
+        }
+    }
+}
+
+/// One concurrent pipeline executor: [`dispatch`] an item, run the
+/// read-only fused pass against the view at exactly the stamped
+/// version, and push the result into the sequence window at the ticket.
+/// Everything order-sensitive (broker mutation, version publication,
+/// egress handoff) happens on the fold side, in ticket order.
 fn executor_loop(ctx: &ExecShared) {
-    loop {
-        let (ticket, popped) = {
-            let mut st = lock(&ctx.dispatch);
-            // Popping under the dispatcher lock is what makes tickets a
-            // total order consistent with the queue order; idle peers
-            // block on the lock instead of the queue, which costs
-            // nothing — they could not pop anyway.
-            let Some(item) = ctx.ingest.queue.pop() else {
-                return;
-            };
-            let ticket = st.next_ticket;
-            st.next_ticket += 1;
-            match item {
-                WorkItem::Batch(batch) => (ticket, Popped::Batch(batch, st.version)),
-                WorkItem::Control(op) => {
-                    if op.bumps_view() {
-                        st.version += 1;
-                    }
-                    (ticket, Popped::Control(op))
+    while let Some((ticket, popped)) = dispatch(ctx) {
+        let staged = match popped {
+            Popped::Control(op) => Staged::Control(op),
+            Popped::Batch(batch, version) => {
+                let dequeued = Instant::now();
+                match run_pass(ctx, &batch, version) {
+                    Some((scratch, epoch)) => Staged::Processed {
+                        batch,
+                        scratch,
+                        epoch,
+                        dequeued,
+                    },
+                    None => Staged::Raw { batch, dequeued },
                 }
             }
         };
-        match popped {
-            Popped::Control(op) => {
-                let _ = ctx.window.push(ticket, Staged::Control(op));
-            }
-            Popped::Batch(batch, version) => {
-                let dequeued = Instant::now();
-                let staged = if ctx.faults_active {
-                    Staged::Raw { batch, dequeued }
-                } else {
-                    // The fold publishes version v only after folding
-                    // every ticket before the op that bumped to v, and
-                    // all such tickets precede ours — so the wait both
-                    // terminates and can only ever observe our version.
-                    let (seen, view) = ctx.cell.wait_at_least(version);
-                    debug_assert_eq!(seen, version, "executor observed a future view");
-                    let mut scratch = lock(&ctx.scratch_pool).pop().unwrap_or_default();
-                    match view.process_into(&batch.points, Some(&batch.soa), &mut scratch) {
-                        Ok(()) => Staged::Processed {
-                            batch,
-                            scratch,
-                            epoch: view.epoch(),
-                            dequeued,
-                        },
-                        // Unreachable in practice (submit validates
-                        // dimensions), but losing records is not an
-                        // option: let the fold produce the errors.
-                        Err(_) => {
-                            lock(&ctx.scratch_pool).push(scratch);
-                            Staged::Raw { batch, dequeued }
-                        }
-                    }
-                };
-                let _ = ctx.window.push(ticket, staged);
-            }
-        }
+        let _ = ctx.window.push(ticket, staged);
     }
 }
 
@@ -1245,13 +1267,12 @@ mod tests {
     }
 
     #[test]
-    fn deadline_flush_delivers_sparse_traffic() {
+    fn idle_executor_sweep_delivers_sparse_traffic() {
         let sink = CollectorSink::new();
         let server = StagedServer::start(
             tiny_broker(),
             ServingConfig {
                 max_batch: 1_000_000, // size trigger unreachable
-                flush_interval: Duration::from_millis(2),
                 ..ServingConfig::default()
             },
             Box::new(sink.clone()),
@@ -1260,48 +1281,89 @@ mod tests {
         handle
             .submit_now(3, 77, Point::new(vec![1.0, 1.0]).expect("point"))
             .expect("accepted");
-        // Only the deadline can flush this single event.
+        // Only an idle executor's sweep can move this single event.
         let deadline = Instant::now() + Duration::from_secs(5);
         while sink.is_empty() && Instant::now() < deadline {
             std::thread::sleep(Duration::from_millis(1));
         }
-        assert_eq!(sink.len(), 1, "deadline flusher never fired");
+        assert_eq!(sink.len(), 1, "no executor swept the shard");
         let (_, stats) = server.stop();
         assert_eq!(stats.accepted, 1);
         assert_eq!(stats.delivered, 1);
     }
 
     #[test]
-    fn adaptive_deadline_tracks_queue_fill() {
-        let interval = Duration::from_millis(8);
-        let shared = IngestShared {
-            queue: StageQueue::new(4),
-            shards: Vec::new(),
-            accepting: AtomicBool::new(true),
-            accepted: AtomicU64::new(0),
-            rejected: AtomicU64::new(0),
-            rejected_reported: AtomicU64::new(0),
-            dims: 2,
-            flush_interval: interval,
+    fn control_queues_behind_the_buffered_shard_batch() {
+        // No executors run, so nothing sweeps: the control op's own
+        // shard flush is the only thing that moves the buffered events.
+        let config = ServingConfig {
+            max_batch: 1_000,
+            shards: 2,
+            ..ServingConfig::default()
         };
-        let floor = deadline_floor(interval);
-        assert_eq!(floor, Duration::from_micros(500));
-        // Idle queue: eager floor.
-        assert_eq!(adaptive_deadline(&shared), floor);
-        // Full queue: the configured ceiling.
-        for _ in 0..4 {
-            assert!(shared
-                .queue
-                .try_push(WorkItem::Control(ControlOp::Metrics(mpsc::channel().0)))
-                .is_ok());
+        let handle = IngestHandle {
+            shared: Arc::new(IngestShared::new(&config, 2)),
+        };
+        for (i, e) in events(3).into_iter().enumerate() {
+            handle.submit_now(i as u32, i as u64, e).expect("accepted");
         }
-        assert_eq!(adaptive_deadline(&shared), interval);
-        // Long test intervals keep proportionally long floors, so
-        // "pin events in the batcher" configs never flush early.
-        assert_eq!(
-            deadline_floor(Duration::from_secs(3600)),
-            Duration::from_secs(225)
-        );
+        let (tx, _rx) = mpsc::channel();
+        handle.control(ControlOp::Recompile(tx)).expect("queued");
+        let queue = &handle.shared.queue;
+        assert_eq!(queue.depth(), 3, "two shard batches, then the control");
+        let mut seqs = Vec::new();
+        for _ in 0..2 {
+            match queue.try_pop() {
+                Some(WorkItem::Batch(batch)) => seqs.extend(batch.meta.iter().map(|m| m.seq)),
+                _ => panic!("a buffered shard batch must precede the control op"),
+            }
+        }
+        seqs.sort_unstable();
+        assert_eq!(seqs, vec![0, 1, 2]);
+        assert!(matches!(
+            queue.try_pop(),
+            Some(WorkItem::Control(ControlOp::Recompile(_)))
+        ));
+    }
+
+    #[test]
+    fn sweep_merges_shards_only_while_the_queue_is_empty() {
+        let config = ServingConfig {
+            max_batch: 4,
+            shards: 2,
+            ..ServingConfig::default()
+        };
+        let handle = IngestHandle {
+            shared: Arc::new(IngestShared::new(&config, 2)),
+        };
+        let sh = &*handle.shared;
+        let seqs = |batch: EventBatch| batch.meta.iter().map(|m| m.seq).collect::<Vec<_>>();
+        // Clients 0 and 1 live on shards 0 and 1.
+        for (seq, client) in [(0, 0), (1, 1), (2, 0), (3, 1)] {
+            handle
+                .submit_now(client, seq, events(1).remove(0))
+                .expect("accepted");
+        }
+        // Queued work may hold an earlier batch of either shard: no sweep.
+        let queued = sh
+            .queue
+            .try_push(WorkItem::Control(ControlOp::Metrics(mpsc::channel().0)));
+        assert!(queued.is_ok());
+        assert!(sweep(sh).is_none());
+        assert!(sh.queue.try_pop().is_some());
+        // A busy shard is skipped rather than waited for.
+        let held = lock(&sh.shards[0]);
+        assert_eq!(sweep(sh).map(seqs), Some(vec![1, 3]));
+        drop(held);
+        // Shard order, each shard contiguous, capped at max_batch.
+        for seq in 4..7 {
+            handle
+                .submit_now(1, seq, events(1).remove(0))
+                .expect("accepted");
+        }
+        assert_eq!(sweep(sh).map(seqs), Some(vec![0, 2]));
+        assert_eq!(sweep(sh).map(seqs), Some(vec![4, 5, 6]));
+        assert!(sweep(sh).is_none());
     }
 
     #[test]

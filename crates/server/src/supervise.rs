@@ -56,9 +56,8 @@ use std::time::{Duration, Instant};
 use pubsub_core::{Broker, BrokerError, StageKind};
 use pubsub_parallel::{SequenceWindow, StageQueue, VersionedCell};
 
-use crate::batcher::EventBatcher;
 use crate::server::{
-    flusher_loop, forward, lock, nanos, process, sync_gauges, ControlOp, DeliverySink,
+    dispatch, forward, lock, nanos, process, run_pass, sync_gauges, ControlOp, DeliverySink,
     DispatchState, EgressBatch, EgressTotals, EventRecord, ExecShared, IngestHandle, IngestShared,
     Popped, ServerStats, ServingConfig, ServingError, Staged, WorkItem,
 };
@@ -321,8 +320,6 @@ struct Supervision {
 #[derive(Debug)]
 pub struct SupervisedServer {
     handle: IngestHandle,
-    flusher_stop: Arc<AtomicBool>,
-    flusher: Option<JoinHandle<()>>,
     supervisor: Option<JoinHandle<Result<SupervisorOutcome, String>>>,
     counters: Arc<SharedCounters>,
 }
@@ -344,19 +341,7 @@ impl SupervisedServer {
         options: SuperviseOptions,
     ) -> Self {
         install_chaos_hook();
-        let dims = broker.space().dims();
-        let shared = Arc::new(IngestShared {
-            queue: StageQueue::new(config.ingest_capacity),
-            shards: (0..config.shards.max(1))
-                .map(|_| Mutex::new(EventBatcher::new(config.max_batch, dims)))
-                .collect(),
-            accepting: AtomicBool::new(true),
-            accepted: AtomicU64::new(0),
-            rejected: AtomicU64::new(0),
-            rejected_reported: AtomicU64::new(0),
-            dims,
-            flush_interval: config.flush_interval,
-        });
+        let shared = Arc::new(IngestShared::new(&config, broker.space().dims()));
         let executors = pubsub_parallel::effective_threads(config.executors);
         let ctx = Arc::new(ExecShared {
             ingest: Arc::clone(&shared),
@@ -367,15 +352,6 @@ impl SupervisedServer {
             faults_active: broker.faults_active(),
         });
         let egress_queue: StageQueue<EgressBatch> = StageQueue::new(config.egress_capacity);
-        let flusher_stop = Arc::new(AtomicBool::new(false));
-        let flusher = {
-            let shared = Arc::clone(&shared);
-            let stop = Arc::clone(&flusher_stop);
-            std::thread::Builder::new()
-                .name("pubsub-flusher".into())
-                .spawn(move || flusher_loop(&shared, &stop))
-                .expect("spawn flusher thread")
-        };
 
         let sup = Supervision {
             ctx: Arc::clone(&ctx),
@@ -403,8 +379,6 @@ impl SupervisedServer {
 
         SupervisedServer {
             handle: IngestHandle { shared },
-            flusher_stop,
-            flusher: Some(flusher),
             supervisor: Some(supervisor),
             counters,
         }
@@ -463,8 +437,8 @@ impl SupervisedServer {
     }
 
     /// The front half of shutdown: stop admitting, flush the shards
-    /// with blocking pushes (accepted events are never dropped), close
-    /// the ingest queue and retire the flusher.
+    /// with blocking pushes (accepted events are never dropped) and
+    /// close the ingest queue.
     fn close_ingest(&mut self) {
         let sh = &*self.handle.shared;
         sh.accepting.store(false, Ordering::SeqCst);
@@ -476,10 +450,6 @@ impl SupervisedServer {
             }
         }
         sh.queue.close();
-        self.flusher_stop.store(true, Ordering::SeqCst);
-        if let Some(flusher) = self.flusher.take() {
-            let _ = flusher.join();
-        }
     }
 }
 
@@ -642,34 +612,17 @@ fn spawn_executor(
         .expect("spawn executor thread")
 }
 
-/// The supervised executor loop: identical dispatch and processing to
-/// the unsupervised one, with the popped item parked in the salvage
-/// slot across the whole crash window (chaos tick + view pass) so a
-/// death never leaves the sequence window with a permanent gap.
+/// The supervised executor loop: the same [`dispatch`] and pass as the
+/// unsupervised one, with the popped item parked in the salvage slot
+/// across the whole crash window (chaos tick + view pass) so a death
+/// never leaves the sequence window with a permanent gap.
 fn supervised_executor_body(
     ctx: &ExecShared,
     chaos: &ChaosSwitch,
     index: usize,
     salvage: &Mutex<Option<(u64, Staged)>>,
 ) {
-    loop {
-        let (ticket, popped) = {
-            let mut st = lock(&ctx.dispatch);
-            let Some(item) = ctx.ingest.queue.pop() else {
-                return;
-            };
-            let ticket = st.next_ticket;
-            st.next_ticket += 1;
-            match item {
-                WorkItem::Batch(batch) => (ticket, Popped::Batch(batch, st.version)),
-                WorkItem::Control(op) => {
-                    if op.bumps_view() {
-                        st.version += 1;
-                    }
-                    (ticket, Popped::Control(op))
-                }
-            }
-        };
+    while let Some((ticket, popped)) = dispatch(ctx) {
         match popped {
             Popped::Control(op) => {
                 // Handed to the window before the crash point: a control
@@ -689,20 +642,7 @@ fn supervised_executor_body(
                     let Some((_, Staged::Raw { batch, .. })) = guard.as_ref() else {
                         unreachable!("salvage slot holds the popped batch");
                     };
-                    if ctx.faults_active {
-                        None
-                    } else {
-                        let (seen, view) = ctx.cell.wait_at_least(version);
-                        debug_assert_eq!(seen, version, "executor observed a future view");
-                        let mut scratch = lock(&ctx.scratch_pool).pop().unwrap_or_default();
-                        match view.process_into(&batch.points, Some(&batch.soa), &mut scratch) {
-                            Ok(()) => Some((scratch, view.epoch())),
-                            Err(_) => {
-                                lock(&ctx.scratch_pool).push(scratch);
-                                None
-                            }
-                        }
-                    }
+                    run_pass(ctx, batch, version)
                 };
                 let (ticket, staged) = lock(salvage).take().expect("slot still full");
                 let staged = match (processed, staged) {

@@ -31,7 +31,7 @@
 //! skip the handshake behave like before: accept-order ids, no
 //! cross-reconnect deduplication.
 //!
-//! Session state is bounded: the table holds at most [`MAX_SESSIONS`]
+//! Session state is bounded: the table holds at most `MAX_SESSIONS`
 //! entries, recycling the oldest-bound session beyond the cap (a
 //! recycled token that reconnects gets a fresh id and an empty
 //! watermark — bounded memory is bought with that session's

@@ -3,31 +3,46 @@
 //! performs **no heap allocation at all** — not per event, not per
 //! batch — on both the inline and the pooled dispatch path.
 //!
+//! The staged server's submit path is pinned the same way: a submit
+//! into a shard an executor just swept reuses the shard's buffers.
+//!
 //! Verified with a counting global allocator. This test lives in its own
 //! integration-test file so it owns the process: the only threads that
 //! can allocate while the counter is armed are the ones under test.
 
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 use pubsub::core::Broker;
 use pubsub::geom::{Point, Rect, Space};
 use pubsub::netsim::TransitStubConfig;
 use pubsub::parallel::WorkerPool;
+use pubsub::server::{CollectorSink, ServingConfig, StagedServer};
 
-/// Counts every `alloc`/`realloc`/`alloc_zeroed` (from any thread) while
-/// armed; delegates all work to the system allocator.
+/// Counts every `alloc`/`realloc`/`alloc_zeroed` while armed — from any
+/// thread, or from the one thread armed with [`count_thread_allocations`];
+/// delegates all work to the system allocator.
 struct CountingAlloc;
 
 static ARMED: AtomicBool = AtomicBool::new(false);
 static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
 
+thread_local! {
+    static THREAD_ARMED: Cell<bool> = const { Cell::new(false) };
+}
+
+fn note_allocation() {
+    if ARMED.load(Ordering::Relaxed) || THREAD_ARMED.try_with(Cell::get).unwrap_or(false) {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+    }
+}
+
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        if ARMED.load(Ordering::Relaxed) {
-            ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        }
+        note_allocation();
         System.alloc(layout)
     }
 
@@ -36,16 +51,12 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        if ARMED.load(Ordering::Relaxed) {
-            ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        }
+        note_allocation();
         System.realloc(ptr, layout, new_size)
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        if ARMED.load(Ordering::Relaxed) {
-            ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        }
+        note_allocation();
         System.alloc_zeroed(layout)
     }
 }
@@ -64,6 +75,16 @@ fn count_allocations<R>(f: impl FnOnce() -> R) -> (u64, R) {
     ARMED.store(true, Ordering::SeqCst);
     let result = f();
     ARMED.store(false, Ordering::SeqCst);
+    (ALLOCATIONS.load(Ordering::SeqCst), result)
+}
+
+/// [`count_allocations`] restricted to the calling thread: the stage
+/// threads of a running server keep allocating around it.
+fn count_thread_allocations<R>(f: impl FnOnce() -> R) -> (u64, R) {
+    ALLOCATIONS.store(0, Ordering::SeqCst);
+    THREAD_ARMED.with(|armed| armed.set(true));
+    let result = f();
+    THREAD_ARMED.with(|armed| armed.set(false));
     (ALLOCATIONS.load(Ordering::SeqCst), result)
 }
 
@@ -169,4 +190,54 @@ fn journaled_broker_publish_path_is_still_allocation_free() {
     );
     drop(broker);
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// An idle executor sweeps a lone event out of its shard by moving the
+/// events and leaving the shard's buffers in place, so the next submit
+/// into that shard pushes without allocating — the property that keeps
+/// the accept ack as cheap as the submit itself.
+#[test]
+fn submit_into_a_swept_shard_is_allocation_free() {
+    let _serial = COUNTER_OWNER.lock().unwrap();
+    let topo = TransitStubConfig::tiny().generate(11).unwrap();
+    let space = Space::anonymous(Rect::from_corners(&[0.0, 0.0], &[10.0, 10.0]).unwrap()).unwrap();
+    let nodes = topo.stub_nodes().to_vec();
+    let broker = Broker::builder(topo, space)
+        .subscription(
+            nodes[0],
+            Rect::from_corners(&[0.0, 0.0], &[6.0, 6.0]).unwrap(),
+        )
+        .build()
+        .unwrap();
+    let sink = CollectorSink::new();
+    let server = StagedServer::start(
+        broker,
+        ServingConfig {
+            shards: 1,
+            executors: Some(1),
+            ..ServingConfig::default()
+        },
+        Box::new(sink.clone()),
+    );
+    let handle = server.handle();
+    const WARM_UP: usize = 8;
+    let events: Vec<Point> = (0..WARM_UP + 32)
+        .map(|i| Point::new(vec![(i % 10) as f64 + 0.3, ((i * 7) % 10) as f64 + 0.1]).unwrap())
+        .collect();
+    for (i, event) in events.into_iter().enumerate() {
+        let (allocations, accepted) =
+            count_thread_allocations(|| handle.submit_now(0, i as u64, event));
+        accepted.unwrap();
+        // The size trigger is out of reach: only a sweep delivers it.
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while sink.len() <= i {
+            assert!(Instant::now() < deadline, "event {i} was never swept");
+            std::thread::sleep(Duration::from_micros(200));
+        }
+        if i >= WARM_UP {
+            assert_eq!(allocations, 0, "submit {i} into a swept shard allocated");
+        }
+    }
+    let (_, stats) = server.stop();
+    assert_eq!(stats.delivered, (WARM_UP + 32) as u64);
 }

@@ -68,9 +68,12 @@ fn in_flight_batch_case(executors: usize) {
     let sink = CollectorSink::new();
     let server = StagedServer::start(
         broker,
-        // A huge batch size and a long flush interval keep submitted
-        // events buffered in the shard batcher: only the control op's
-        // shard flush (or shutdown) can move them.
+        // A huge batch size keeps the size trigger out of reach, so the
+        // submitted events leave the shard batcher either through an
+        // idle executor's sweep or through the control op's shard
+        // flush. Both order them ahead of the control op. (The
+        // flush-before-control queue order without any sweeping
+        // executor is pinned by a unit test in the server crate.)
         ServingConfig {
             ingest_capacity: 64,
             egress_capacity: 64,
@@ -89,7 +92,8 @@ fn in_flight_batch_case(executors: usize) {
         .collect();
 
     let epoch_before = handle.metrics().unwrap().epoch;
-    // These five sit in the batcher — nothing has flushed them.
+    // These five are accepted before the control ops: an idle executor
+    // sweeps them, or the subscribe's shard flush queues them.
     for (i, e) in events[..5].iter().enumerate() {
         handle.submit_now(0, i as u64, e.clone()).unwrap();
     }
